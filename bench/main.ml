@@ -718,7 +718,6 @@ let scaling_keys =
     "plan.repatches";
     "plan.cache_hits";
     "plan.cache_misses";
-    "plan.fallback_reuses";
     "plan.invalidation{cause=payload}";
     "plan.invalidation{cause=structure}";
     "plan.invalidation{cause=evict}";

@@ -313,9 +313,9 @@ let estimate_cmd =
       & info [ "explain" ]
           ~doc:
             "Print the estimate's provenance: plan tier taken (cache hit, \
-             repatch, skeleton adoption, fresh compile, reference interp), \
-             embedding count, retries and fallback reason — the same record \
-             the xtwigd $(b,explain) verb serves.")
+             repatch, skeleton adoption, fresh compile), embedding count, \
+             retries and fallback reason — the same record the xtwigd \
+             $(b,explain) verb serves.")
   in
   let optimize_flag =
     Arg.(

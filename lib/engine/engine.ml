@@ -233,14 +233,13 @@ let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
         ~plan_cache_out:built_plans ~budget ~workload ~truth doc
     in
     let build_s = now () -. t0 in
-    (* seed the session's plan cache with the build's: adopt it when
-       the final step kept the synopsis, otherwise chain it as the
-       fallback so the first batch repatches instead of compiling *)
+    (* seed the session's plan cache with the build's when the final
+       step kept the synopsis; otherwise the first batch adopts the
+       build's skeletons from the process-global store *)
     let pcache =
       match !built_plans with
       | Some pc when Plan.cache_synopsis pc == Sketch.synopsis sk -> pc
-      | Some pc -> Plan.create_cache ~fallback:pc (Sketch.synopsis sk)
-      | None -> Plan.create_cache (Sketch.synopsis sk)
+      | _ -> Plan.create_cache (Sketch.synopsis sk)
     in
     let core =
       Sk
@@ -395,12 +394,36 @@ let record_outcome t ~probe i a =
         Metrics.set g_circuit 0.0
       end
 
+(* ------------------------------------------------------------------ *)
+(* Per-query provenance: which tier of the plan economy answered       *)
+
+type plan_tier =
+  | Cache_hit
+  | Repatch
+  | Skeleton_adoption
+  | Fresh_compile
+  | Backend_opaque
+
+let tier_label = function
+  | Cache_hit -> "cache_hit"
+  | Repatch -> "repatch"
+  | Skeleton_adoption -> "skeleton_adoption"
+  | Fresh_compile -> "fresh_compile"
+  | Backend_opaque -> "backend"
+
+let plan_tier_of = function
+  | Plan.Hit -> Cache_hit
+  | Plan.Repatch -> Repatch
+  | Plan.Adoption -> Skeleton_adoption
+  | Plan.Compile -> Fresh_compile
+
 (* Compile phase for one query, on the owner under the query's fault
    scope: enumerate embeddings (guarded by cardinality and node-count
    ceilings), compile plans; injected faults at [embed.fill] /
    [plan.fill] are retried with backoff while the deadline allows. The
    deadline is set here, before compilation, so compile time spends
-   the same budget evaluation does. *)
+   the same budget evaluation does. Also returns the plan tier the
+   fill took. *)
 let compile_prep t ~timeout ~probe i q =
   Fault.with_scope i @@ fun () ->
   if breaker_blocks t probe i then Error (Circuit_open, 0)
@@ -410,7 +433,7 @@ let compile_prep t ~timeout ~probe i q =
     | Bk _ ->
         (* opaque backends have no compile phase: evaluation happens
            in eval_one, under the same deadline *)
-        Ok ([||], deadline, 0)
+        Ok ([||], Backend_opaque, deadline, 0)
     | Sk { sk; cache; pcache; _ } ->
         let rec attempt k =
           match
@@ -425,7 +448,7 @@ let compile_prep t ~timeout ~probe i q =
                 `Plans (Plan.plans_cached pcache ~key:(Embed.cache_key q) sk embs)
             end
           with
-          | `Plans plans -> Ok (plans, deadline, k)
+          | `Plans (plans, tier) -> Ok (plans, plan_tier_of tier, deadline, k)
           | `Guard -> Error (Guard, k)
           | exception _ when k < t.retry_limit && now () <= deadline ->
               Metrics.incr c_retries;
@@ -482,7 +505,7 @@ let estimate_batch ?timeout_s ?trace_id t queries =
       let earr = Array.of_list prepped in
       let run (q, prep) =
         match prep with
-        | Ok (plans, deadline, retries) ->
+        | Ok (plans, _, deadline, retries) ->
             let a = eval_one t ~trace_id ~deadline q plans in
             { a with retries = a.retries + retries }
         | Error (reason, retries) ->
@@ -559,25 +582,6 @@ let estimate ?timeout_s t q =
   | Ok _ -> assert false
   | Error e -> Error e
 
-(* ------------------------------------------------------------------ *)
-(* Per-query provenance: which tier of the plan economy answered       *)
-
-type plan_tier =
-  | Cache_hit
-  | Repatch
-  | Skeleton_adoption
-  | Fresh_compile
-  | Reference_interp
-  | Backend_opaque
-
-let tier_label = function
-  | Cache_hit -> "cache_hit"
-  | Repatch -> "repatch"
-  | Skeleton_adoption -> "skeleton_adoption"
-  | Fresh_compile -> "fresh_compile"
-  | Reference_interp -> "reference_interp"
-  | Backend_opaque -> "backend"
-
 type provenance = {
   pv_answer : answer;
   pv_backend : string;
@@ -585,15 +589,9 @@ type provenance = {
   pv_embeddings : int;
 }
 
-(* Tier classification reads the process-global plan counters around
-   this query's (owner-domain, sequential) compile phase. A fresh
-   compile also runs the shared payload phase, so [plan.compiles] is
-   checked before [plan.repatches]; adoption and interpretation are
-   tier-path outcomes and take precedence over the repatch they may
-   also book. Concurrent compile phases of OTHER sessions on other
-   domains could alias into the deltas — xtwigd drains tenant queues
-   from one thread, so its explains are exact; a multi-threaded
-   embedder should serialize explain calls itself. *)
+(* The tier is the one the plan cache reports for this query's fill;
+   a compile phase that degraded before producing plans did no plan
+   work and reports a hit. *)
 let explain ?timeout_s ?trace_id t q =
   if t.closed then Error (Xerror.Engine "session is closed")
   else begin
@@ -615,16 +613,7 @@ let explain ?timeout_s ?trace_id t q =
           Plan.thaw pcache
       | Bk _ -> ());
       let probe = ref None in
-      let snap () =
-        ( Counters.get "plan.cache_hits",
-          Counters.get "plan.compiles",
-          Counters.get "plan.repatches",
-          Counters.get "plan.skeleton_adoptions",
-          Counters.get "plan.interp_estimates" )
-      in
-      let _h0, c0, r0, s0, i0 = snap () in
       let prep = compile_prep t ~timeout ~probe 0 q in
-      let _h1, c1, r1, s1, i1 = snap () in
       (match t.core with
       | Sk { cache; pcache; _ } ->
           Embed.freeze cache;
@@ -632,7 +621,7 @@ let explain ?timeout_s ?trace_id t q =
       | Bk _ -> ());
       let a =
         match prep with
-        | Ok (plans, deadline, retries) -> (
+        | Ok (plans, _, deadline, retries) -> (
             match
               Fault.with_scope 0 (fun () -> eval_one t ~trace_id:tid ~deadline q plans)
             with
@@ -655,18 +644,11 @@ let explain ?timeout_s ?trace_id t q =
       Counters.incr c_queries;
       if a.reason = Some Timeout then Counters.incr c_timeouts;
       t.estimate_s <- t.estimate_s +. (now () -. t0);
-      let tier =
-        match t.core with
-        | Bk _ -> Backend_opaque
-        | Sk _ ->
-            if c1 > c0 then Fresh_compile
-            else if s1 > s0 then Skeleton_adoption
-            else if i1 > i0 then Reference_interp
-            else if r1 > r0 then Repatch
-            else Cache_hit
-      in
-      let embeddings =
-        match prep with Ok (plans, _, _) -> Array.length plans | Error _ -> 0
+      let tier, embeddings =
+        match (prep, t.core) with
+        | Ok (plans, tier, _, _), _ -> (tier, Array.length plans)
+        | Error _, Sk _ -> (Cache_hit, 0)
+        | Error _, Bk _ -> (Backend_opaque, 0)
       in
       let backend =
         match t.core with Sk _ -> "xsketch" | Bk inst -> Backend.name_of inst
@@ -686,10 +668,10 @@ let explain ?timeout_s ?trace_id t q =
 (* Swap the core for one maintained incrementally across a subtree
    splice. Runs on the owner domain between batches (the same
    single-writer discipline as [stats] / [close]): workers only ever
-   see the core their batch captured. The embedding cache is keyed to
-   the synopsis and must start fresh; the plan cache chains the old
-   one as its fallback so the first batch after an update repatches
-   matching skeletons instead of compiling from nothing. *)
+   see the core their batch captured. Both caches are keyed to the
+   synopsis and start fresh; the first batch after an update adopts
+   matching skeletons from the process-global store instead of
+   compiling from nothing. *)
 let update t delta =
   if t.closed then Error (Xerror.Engine "session is closed")
   else
@@ -700,7 +682,7 @@ let update t delta =
              (Printf.sprintf
                 "Engine.update: %s-backend session holds no document"
                 (Backend.name_of inst)))
-    | Sk { sk; pcache; _ } -> (
+    | Sk { sk; _ } -> (
         match Sketch.apply_delta sk delta with
         | sk' ->
             let syn' = Sketch.synopsis sk' in
@@ -710,7 +692,7 @@ let update t delta =
                   sk = sk';
                   coarse = Sketch.default_of_doc (Sketch.doc sk');
                   cache = Embed.create_cache syn';
-                  pcache = Plan.create_cache ~fallback:pcache syn';
+                  pcache = Plan.create_cache syn';
                 };
             Ok ()
         | exception Invalid_argument msg -> Error (Xerror.Usage msg)

@@ -204,8 +204,7 @@ val estimate :
 
     The plan economy (PR 4/6) decides per query how much work an
     estimate costs — serve compiled plans from cache, repatch a stale
-    entry's payload, adopt a cached skeleton, compile fresh, or (under
-    tiered execution) interpret through the reference evaluator.
+    entry's payload, adopt a cached skeleton, or compile fresh.
     {!explain} surfaces that decision per request instead of only in
     aggregate counters. *)
 
@@ -214,7 +213,6 @@ type plan_tier =
   | Repatch  (** a stale entry's payload constants were rebuilt *)
   | Skeleton_adoption  (** an isomorphic cached skeleton was adopted *)
   | Fresh_compile  (** at least one plan went through full compilation *)
-  | Reference_interp  (** tier declined to compile; reference evaluator answered *)
   | Backend_opaque  (** an {!of_backend} session — no plan economy *)
 
 val tier_label : plan_tier -> string
@@ -234,12 +232,11 @@ val explain :
   ?timeout_s:float -> ?trace_id:int -> t -> Xtwig_path.Path_types.twig ->
   (provenance, Xtwig_util.Xerror.t) result
 (** Evaluate one query (inline on the owner, identical estimate to
-    {!estimate}) and report its provenance. Tier classification reads
-    the process-global plan counters around this query's sequential
-    compile phase, so it is exact when at most one session is
-    compiling at a time (the [xtwigd] drain loop's situation);
-    concurrent compile phases of other sessions can alias into it.
-    Never raises; same error contract as {!estimate_batch}. *)
+    {!estimate}) and report its provenance. The tier is the one
+    {!Xtwig_sketch.Plan.plans_cached} reports for this query's fill,
+    so concurrent sessions cannot alias into it; a query whose compile
+    phase degraded reports [Cache_hit] (no plan work was done). Never
+    raises; same error contract as {!estimate_batch}. *)
 
 val update :
   t -> Xtwig_sketch.Sketch.delta -> (unit, Xtwig_util.Xerror.t) result
@@ -247,9 +244,9 @@ val update :
     in the incrementally maintained sketch
     ({!Xtwig_sketch.Sketch.apply_delta}): summaries untouched by the
     edit are reused in place, the coarse fallback is rebuilt over the
-    new document, the embedding cache starts fresh (it is keyed to the
-    synopsis), and the plan cache chains the old one as its fallback
-    so the next batch repatches matching skeletons instead of
+    new document, and the embedding and plan caches start fresh (both
+    are keyed to the synopsis). The next batch adopts matching
+    skeletons from the process-global skeleton store instead of
     compiling cold.
 
     Owner-domain only, between batches — the same single-writer

@@ -286,21 +286,11 @@ let estimate_embedding sketch (root : enode) =
   *. expand root []
 
 let t_estimate = Xtwig_util.Counters.timer "estimator.ns"
-let t_reference = Xtwig_util.Counters.timer "estimator.reference_ns"
 
 let embeddings_of ?max_alternatives ?cache syn twig =
   match cache with
   | Some c -> Embed.embeddings_cached c ?max_alternatives syn twig
   | None -> Embed.embeddings ?max_alternatives syn twig
-
-(* The recursive evaluator above, kept as the differential baseline
-   for the compiled plans (timed separately so estimator.ns tracks
-   only the production path). *)
-let estimate_reference ?max_alternatives ?cache sketch twig =
-  Xtwig_obs.Trace.with_span ~name:"estimator.estimate_reference" @@ fun () ->
-  Xtwig_util.Counters.time t_reference @@ fun () ->
-  let embs = embeddings_of ?max_alternatives ?cache (Sketch.synopsis sketch) twig in
-  List.fold_left (fun acc e -> acc +. estimate_embedding sketch e) 0.0 embs
 
 (* Production path: compile each embedding into a flat plan and run
    it. When [plans] is given and keyed to this sketch's synopsis, the

@@ -55,18 +55,8 @@ val estimate :
     histograms). When [plans] is likewise keyed, compiled plans are
     cached per query and revalidated against [sketch] on reuse; a
     plans cache for a different synopsis is bypassed. Estimates are
-    identical with or without either cache, and bit-identical to
-    {!estimate_reference}. *)
-
-val estimate_reference :
-  ?max_alternatives:int ->
-  ?cache:Embed.cache ->
-  Sketch.t ->
-  Xtwig_path.Path_types.twig ->
-  float
-(** The recursive evaluator, kept as the differential-testing baseline
-    for the compiled path (timed under [estimator.reference_ns], not
-    [estimator.ns]). *)
+    identical with or without either cache, and bit-identical to the
+    sum of {!estimate_embedding} over the query's embeddings. *)
 
 val estimate_path : Sketch.t -> Xtwig_path.Path_types.path -> float
 (** Single-path-expression cardinality (a chain twig). *)

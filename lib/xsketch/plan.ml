@@ -62,7 +62,6 @@ let c_misses = Counters.counter "plan.cache_misses"
    cause split lives in the labeled [plan.invalidation] family. *)
 let c_invalid = Counters.counter "plan.cache_invalidations"
 let c_repatch = Counters.counter "plan.repatches"
-let c_fallback_reuse = Counters.counter "plan.fallback_reuses"
 
 (* skeleton-store outcomes on the compile path: a miss is a genuinely
    novel structure; a reject is a signature hit whose structural
@@ -1466,49 +1465,49 @@ let run_batch (ts : t array) (out : float array) : unit =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Sharded plan cache                                                  *)
+(* Plan cache                                                          *)
 
-type centry = { ce_roots : enode list; ce_plans : t array; ce_sig : int }
+type centry = { ce_roots : enode list; ce_plans : t array }
 
-(* [sseen] maps keys that missed to the cache generation (thaw count)
-   of the sighting, for tiered execution: a key seen again in a LATER
-   generation is part of the recurring workload and pays for
-   compilation; re-sightings within one generation are the same
-   query probed against throwaway refinement candidates and stay on
-   the reference evaluator. *)
-type shard = {
-  stbl : (string, centry) Hashtbl.t;
-  sseen : (string, int) Hashtbl.t;
-  slock : Mutex.t;
-}
+(* declaration order is the ranking: a fill reports the most expensive
+   mechanism any of its plans took *)
+type tier = Hit | Repatch | Adoption | Compile
+
+let took_at_least (took : tier ref) t = if t > !took then took := t
 
 (* skeleton store: one representative compiled plan per structural
-   signature, sharded like the entry tables. Any compile path checks
-   here first and adopts the skeleton through the payload phase — the
-   compiler only ever runs once per structure a cache's synopsis has
-   seen, no matter how many queries or refinement candidates share
-   it. *)
+   signature, spread over 16 shards by signature. Any compile path
+   checks here first and adopts the skeleton through the payload phase
+   — the compiler only ever runs once per structure, no matter how
+   many queries, caches or refinement candidates share it. *)
 type skshard = { sk_tbl : (int, t) Hashtbl.t; sk_lock : Mutex.t }
-
-let shard_bits = 4
-let shard_count = 1 lsl shard_bits
 
 (* The skeleton store is process-global: structural signatures are
    invariant under synopsis-node renaming, so a structure compiled for
-   one refinement candidate's synopsis (or an earlier build step's) is
-   adoptable by any later cache — exactly the reuse that throwaway
-   candidate caches would otherwise lose. All access is under the
-   owning shard's lock (compile paths only — cache hits never come
-   here), and a shard that outgrows its cap is dropped wholesale
-   rather than tracked by recency. *)
+   one refinement candidate's synopsis (or an earlier build step's, or
+   a session's before a document update) is adoptable by any later
+   cache. It is the only path by which plans cross synopses. All
+   access is under the owning shard's lock (compile paths only — cache
+   hits never come here), and a shard that outgrows its cap is dropped
+   wholesale rather than tracked by recency. *)
 let skel_shard_cap = 1024
 
 let skel_global : skshard array =
   Array.init 16 (fun _ -> { sk_tbl = Hashtbl.create 64; sk_lock = Mutex.create () })
 
+(* [seen] maps keys that missed to the cache generation (thaw count)
+   of the sighting, for tiered execution: a key seen again in a LATER
+   generation is part of the recurring workload and pays for
+   compilation; re-sightings within one generation are the same query
+   probed against throwaway refinement candidates and stay on the
+   reference evaluator. Capped like the skeleton store. *)
+let seen_cap = 65536
+
 type cache = {
   psyn : G.t;
-  shards : shard array;
+  tbl : (string, centry) Hashtbl.t;
+  seen : (string, int) Hashtbl.t;
+  lock : Mutex.t;
   mutable cfrozen : bool;
   (* tiered execution opt-in: only caches whose owner follows the
      thaw/freeze phase discipline (XBUILD's scoring loop) may decline
@@ -1520,47 +1519,30 @@ type cache = {
      recurring keys (seen under an earlier generation — compile) from
      within-phase re-sightings (interpret). *)
   mutable cgen : int;
-  (* the retiring cache a structural step replaces: entries found
-     there are cross-repatched onto this cache's synopsis instead of
-     recompiled. Dropped on [freeze] (by then the owner's warm pass
-     has migrated everything it needs), which also bounds the chain
-     at depth one. *)
-  mutable cfallback : cache option;
   (* sketch-scoped compile context reused across the queries compiled
      against one sketch (the per-node edge-key arrays dominate compile
      setup); owner-phase only — frozen callers build their own *)
   mutable ccx : cctx option;
 }
 
-let create_cache ?fallback ?(tiered = false) syn =
+let create_cache ?(tiered = false) syn =
   {
     psyn = syn;
-    shards =
-      Array.init shard_count (fun _ ->
-          {
-            stbl = Hashtbl.create 8;
-            sseen = Hashtbl.create 8;
-            slock = Mutex.create ();
-          });
+    tbl = Hashtbl.create 64;
+    seen = Hashtbl.create 64;
+    lock = Mutex.create ();
     cfrozen = false;
     ctier = tiered;
     cgen = 1;
-    cfallback = fallback;
     ccx = None;
   }
 
 let cache_synopsis c = c.psyn
-
-let freeze c =
-  c.cfrozen <- true;
-  c.cfallback <- None
+let freeze c = c.cfrozen <- true
 
 let thaw c =
   c.cfrozen <- false;
   c.cgen <- c.cgen + 1
-
-let shard_of cache key =
-  Array.unsafe_get cache.shards (Hashtbl.hash key land (shard_count - 1))
 
 let compile_roots sketch roots =
   let cx = context sketch in
@@ -1611,13 +1593,14 @@ let try_adopt sketch (root : enode) : int * t option =
               (s, None)))
 
 (* Adopt-or-compile. Only a genuinely novel structure runs the
-   compiler; [compiled] records that. *)
-let build_plan (cx : cctx Lazy.t) ~(compiled : bool ref) sketch (root : enode) :
-    t =
+   compiler; [took] records which of the two happened. *)
+let build_plan (cx : cctx Lazy.t) ~took sketch (root : enode) : t =
   match try_adopt sketch root with
-  | _, Some p -> p
+  | _, Some p ->
+      took_at_least took Adoption;
+      p
   | s, None ->
-      compiled := true;
+      took_at_least took Compile;
       let p = compile_in ~sig_:s (Lazy.force cx) root in
       skel_publish s p;
       p
@@ -1627,34 +1610,28 @@ let build_plan (cx : cctx Lazy.t) ~(compiled : bool ref) sketch (root : enode) :
    evaluator instead. Never escapes [plans_cached_in]. *)
 exception Tier_cold
 
-let entry_sig plans =
-  Array.fold_left (fun a (p : t) -> (a * 33) + p.psig) 5381 plans land max_int
-
 (* Get-or-compile. A hit requires the embeddings to be the cached ones
    (physically — the embedding cache returns a shared list) and every
-   plan to still validate against [sketch]. Anything else repairs:
-   payload drift repatches plan-by-plan, structure drift recompiles
-   the affected plans, re-enumerated embeddings of an unchanged shape
-   cross-repatch under the structural renaming, and only a shape
-   change pays for full compilation. Inserts happen only while the
-   cache is thawed (the same single-owner freeze discipline as the
-   embedding cache), under the target shard's lock. *)
-let plans_cached_in cache ~tier ~key sketch roots : t array option =
+   plan to still validate against [sketch]. A stale entry repairs
+   plan-by-plan: payload drift repatches, structure drift adopts a
+   skeleton or recompiles. A cold key — or an entry whose embeddings
+   were re-enumerated, which is evicted — builds every plan through
+   the skeleton store. Inserts happen only while the cache is thawed
+   (the same single-owner freeze discipline as the embedding cache),
+   under the cache's lock. *)
+let plans_cached_in cache ~tiered ~key sketch roots : (t array * tier) option =
   (* tiering needs both an interpreter to decline to (caller side) and
      a cache owner that opted into the phase discipline *)
-  let tier = tier && cache.ctier in
-  let shard = shard_of cache key in
-  let entry = Hashtbl.find_opt shard.stbl key in
+  let tiered = tiered && cache.ctier in
+  let entry = Hashtbl.find_opt cache.tbl key in
   match entry with
   | Some e
     when e.ce_roots == roots && Array.for_all (fun p -> valid p sketch) e.ce_plans
     ->
       Counters.incr c_hits;
-      Some e.ce_plans
+      Some (e.ce_plans, Hit)
   | _ ->
-      (match entry with
-      | Some _ -> ()
-      | None -> Counters.incr c_misses);
+      if Option.is_none entry then Counters.incr c_misses;
       (* compiling (or repatching) is the expensive fill that chaos
          scenarios target; the engine retries the whole compile phase *)
       Xtwig_fault.Fault.point "plan.fill";
@@ -1673,10 +1650,16 @@ let plans_cached_in cache ~tier ~key sketch roots : t array option =
               cache.ccx <- Some cx;
               cx
       in
+      let took = ref Hit in
       let compile_all () =
         let cx = lazy (fresh_context ()) in
-        let compiled = ref false in
-        Array.of_list (List.map (build_plan cx ~compiled sketch) roots)
+        Array.of_list (List.map (build_plan cx ~took sketch) roots)
+      in
+      let mark_seen () =
+        Mutex.lock cache.lock;
+        if Hashtbl.length cache.seen >= seen_cap then Hashtbl.reset cache.seen;
+        Hashtbl.replace cache.seen key cache.cgen;
+        Mutex.unlock cache.lock
       in
       (* repair a stale entry plan-by-plan, so one structurally-changed
          embedding doesn't force the query's other embeddings through
@@ -1686,12 +1669,13 @@ let plans_cached_in cache ~tier ~key sketch roots : t array option =
         let rarr = Array.of_list roots in
         let cx = lazy (fresh_context ()) in
         let drifted = ref false in
-        let compiled = ref false in
         let plans =
           Array.mapi
             (fun i p ->
               match repatch p sketch with
-              | Some p' -> p'
+              | Some p' ->
+                  took_at_least took Repatch;
+                  p'
               | None ->
                   drifted := true;
                   (* under the tier, a structurally drifted slot that
@@ -1707,62 +1691,42 @@ let plans_cached_in cache ~tier ~key sketch roots : t array option =
                      replaced first (most structural steps), the
                      compile was never needed. Either way the entry is
                      left in place and this sighting is interpreted. *)
-                  if tier then
+                  if tiered then
                     match try_adopt sketch rarr.(i) with
-                    | _, Some p' -> p'
+                    | _, Some p' ->
+                        took_at_least took Adoption;
+                        p'
                     | _, None ->
                         if cache.cfrozen then raise_notrace Tier_cold
                         else (
-                          match Hashtbl.find_opt shard.sseen key with
+                          match Hashtbl.find_opt cache.seen key with
                           | Some g when g < cache.cgen ->
-                              build_plan cx ~compiled sketch rarr.(i)
+                              build_plan cx ~took sketch rarr.(i)
                           | Some _ -> raise_notrace Tier_cold
                           | None ->
-                              Mutex.lock shard.slock;
-                              if Hashtbl.length shard.sseen >= 4096 then
-                                Hashtbl.reset shard.sseen;
-                              Hashtbl.replace shard.sseen key cache.cgen;
-                              Mutex.unlock shard.slock;
+                              mark_seen ();
                               raise_notrace Tier_cold)
-                  else build_plan cx ~compiled sketch rarr.(i))
+                  else build_plan cx ~took sketch rarr.(i))
             e.ce_plans
         in
         (!drifted, plans)
       in
-      let repair_remap (e : centry) =
-        match Embed.structural_remap e.ce_roots roots with
-        | None -> None
-        | Some (emap, o2n, n2o) ->
-            let rarr = Array.of_list roots in
-            let cx = lazy (fresh_context ()) in
-            let compiled = ref false in
-            let repatched = ref false in
-            let plans =
-              Array.mapi
-                (fun i p ->
-                  match repatch_onto p sketch ~emap ~o2n ~n2o with
-                  | Some p' ->
-                      repatched := true;
-                      p'
-                  | None -> build_plan cx ~compiled sketch rarr.(i))
-                e.ce_plans
-            in
-            Some (!repatched, plans)
-      in
-      (* cold key: nothing cached under this key yet. Tiered execution
-         makes its first sighting cheap — adopt a cached skeleton for
-         every root if possible (pure payload work), otherwise decline
-         ([None]) so the caller falls back to the reference evaluator,
-         and remember the key with the current generation. A key
-         sighted again in a LATER generation (the next XBUILD base
-         pass, the next engine batch) is part of the recurring
-         workload and pays for compilation; re-sightings within one
-         generation are the same one-shot query probed against
-         throwaway refinement candidates and keep interpreting. The
-         non-tiered path compiles unconditionally. *)
+      (* cold fill: nothing usable cached under this key. Tiered
+         execution makes its first sighting cheap — adopt a cached
+         skeleton for every root if possible (pure payload work),
+         otherwise decline ([None]) so the caller falls back to the
+         reference evaluator, and remember the key with the current
+         generation. A key sighted again two or more generations later
+         (a later XBUILD base pass) is part of the recurring workload
+         and pays for compilation, unless the cache is frozen;
+         re-sightings within one generation are the same one-shot
+         query probed against throwaway refinement candidates and keep
+         interpreting. The non-tiered path compiles unconditionally. *)
       let adopt_all () =
         let rec go acc = function
-          | [] -> Some (Array.of_list (List.rev acc))
+          | [] ->
+              took_at_least took Adoption;
+              Some (Array.of_list (List.rev acc))
           | r :: rest -> (
               match try_adopt sketch r with
               | _, Some p -> go (p :: acc) rest
@@ -1771,22 +1735,17 @@ let plans_cached_in cache ~tier ~key sketch roots : t array option =
         go [] roots
       in
       let cold () =
-        if not tier then Some (compile_all ())
+        if not tiered then Some (compile_all ())
         else
           match adopt_all () with
           | Some plans -> Some plans
           | None -> (
-              match Hashtbl.find_opt shard.sseen key with
-              | Some g when g + 1 < cache.cgen -> Some (compile_all ())
+              match Hashtbl.find_opt cache.seen key with
+              | Some g when g + 1 < cache.cgen && not cache.cfrozen ->
+                  Some (compile_all ())
               | Some _ -> None
               | None ->
-                  if not cache.cfrozen then begin
-                    Mutex.lock shard.slock;
-                    if Hashtbl.length shard.sseen >= 4096 then
-                      Hashtbl.reset shard.sseen;
-                    Hashtbl.replace shard.sseen key cache.cgen;
-                    Mutex.unlock shard.slock
-                  end;
+                  if not cache.cfrozen then mark_seen ();
                   None)
       in
       let plans =
@@ -1805,50 +1764,30 @@ let plans_cached_in cache ~tier ~key sketch roots : t array option =
                 Metrics.incr
                   (if drifted then c_inv_structure else c_inv_payload);
                 Some plans)
-        | Some e -> (
+        | Some _ ->
             (* the embeddings were re-enumerated: the entry is replaced
-               whatever happens — an eviction, not an invalidation (and
-               when the new enumeration has the same shape, the old
-               plans are still repatched rather than recompiled) *)
-            match repair_remap e with
-            | exception Tier_cold -> None
-            | Some (_, plans) ->
-                Metrics.incr c_inv_evict;
-                Some plans
-            | None ->
-                Metrics.incr c_inv_evict;
-                Some (compile_all ()))
-        | None -> (
-            match cache.cfallback with
-            | None -> cold ()
-            | Some fb -> (
-                match Hashtbl.find_opt (shard_of fb key).stbl key with
-                | None -> cold ()
-                | Some e -> (
-                    match repair_remap e with
-                    | exception Tier_cold -> None
-                    | Some (repatched, plans) ->
-                        if repatched then Counters.incr c_fallback_reuse;
-                        Some plans
-                    | None -> cold ())))
+               by a cold fill — an eviction, not an invalidation *)
+            let plans = cold () in
+            if Option.is_some plans then Metrics.incr c_inv_evict;
+            plans
+        | None -> cold ()
       in
       (match plans with
       | Some plans when not cache.cfrozen ->
-          Mutex.lock shard.slock;
+          Mutex.lock cache.lock;
           if not cache.cfrozen then begin
-            Hashtbl.replace shard.stbl key
-              { ce_roots = roots; ce_plans = plans; ce_sig = entry_sig plans };
+            Hashtbl.replace cache.tbl key { ce_roots = roots; ce_plans = plans };
             (* the key has plans again: a later drift re-earns its
                compile through a fresh across-generation sighting *)
-            Hashtbl.remove shard.sseen key
+            Hashtbl.remove cache.seen key
           end;
-          Mutex.unlock shard.slock
+          Mutex.unlock cache.lock
       | _ -> ());
-      plans
+      Option.map (fun plans -> (plans, !took)) plans
 
 let plans_cached cache ~key sketch roots =
-  match plans_cached_in cache ~tier:false ~key sketch roots with
-  | Some plans -> plans
+  match plans_cached_in cache ~tiered:false ~key sketch roots with
+  | Some r -> r
   | None -> assert false (* non-tiered fills always produce plans *)
 
 let run_all plans =
@@ -1863,10 +1802,10 @@ let run_all plans =
    never change a result — only where the time is spent. *)
 let estimate_cached ?interp cache ~key sketch roots =
   match interp with
-  | None -> run_all (plans_cached cache ~key sketch roots)
+  | None -> run_all (fst (plans_cached cache ~key sketch roots))
   | Some f -> (
-      match plans_cached_in cache ~tier:true ~key sketch roots with
-      | Some plans -> run_all plans
+      match plans_cached_in cache ~tiered:true ~key sketch roots with
+      | Some (plans, _) -> run_all plans
       | None ->
           Counters.incr c_interp;
           List.fold_left (fun acc e -> acc +. f e) 0.0 roots)

@@ -87,53 +87,51 @@ val estimate_once : Sketch.t -> Embed.enode list -> float
     Keyed like the embedding cache — one synopsis by physical
     identity, queries by {!Embed.cache_key} — and governed by the same
     single-owner freeze discipline: one domain warms and thaws, worker
-    domains read lock-free after {!freeze} and never insert. Entries
-    are spread over [2^4] shards by key hash, each with its own
-    insertion mutex, so concurrent owner-phase fills from a pool touch
-    one shard and no global lock.
+    domains read lock-free after {!freeze} and never insert.
 
     A cached entry is reused directly when the caller's embeddings are
     physically the cached ones and every plan still {!valid}-ates
-    ([plan.cache_hits]). A stale entry is {e repaired}, cheapest
-    mechanism first: payload drift repatches plan-by-plan, structure
-    drift recompiles only the affected plans, and a re-enumeration of
-    an unchanged shape (fresh embedding objects, or the fresh synopsis
-    node ids of a structure-preserving split reached through the
-    [fallback] cache) cross-repatches under the structural renaming of
-    {!Embed.structural_remap}. Repairs of this cache's own entries
-    count under [plan.cache_invalidations], split by cause into
-    [plan.invalidation{cause=payload|structure}]; entries replaced
-    because the embeddings were re-enumerated into a different shape
-    are evictions, counted only under [plan.invalidation{cause=evict}].
-    First-time compiles count under [plan.cache_misses]; successful
-    cross-cache reuse under [plan.fallback_reuses]. *)
+    ([plan.cache_hits]). A stale entry is {e repaired} plan-by-plan:
+    payload drift repatches, structure drift adopts a cached skeleton
+    or recompiles. Repairs count under [plan.cache_invalidations],
+    split by cause into [plan.invalidation{cause=payload|structure}].
+    A cold key ([plan.cache_misses]), or an entry whose embeddings
+    were re-enumerated (an eviction, counted only under
+    [plan.invalidation{cause=evict}]), builds each plan through the
+    process-global skeleton store: a structure compiled once, for any
+    cache or synopsis, is adopted by a payload-only rebuild under the
+    structural renaming of {!Embed.structural_remap}. That store is the
+    only path by which plans cross synopses. *)
 
 type cache
 
-val create_cache :
-  ?fallback:cache -> ?tiered:bool -> Xtwig_synopsis.Graph_synopsis.t -> cache
-(** [fallback] is the retiring cache this one replaces after a
-    structural refinement step: entries missing here but present there
-    are cross-repatched onto the new synopsis instead of recompiled.
-    The fallback must be quiescent (frozen, or owner-idle) for the
-    lifetime of the link; {!freeze} drops it, which also bounds
-    fallback chains at depth one.
-
-    [tiered] (default false) opts the cache into tiered execution:
+val create_cache : ?tiered:bool -> Xtwig_synopsis.Graph_synopsis.t -> cache
+(** [tiered] (default false) opts the cache into tiered execution:
     when the caller supplies an interpreter ({!estimate_cached}'s
     [interp]), a cold structure's first sighting within a generation
     (one thaw/freeze phase) is answered by the reference evaluator
     instead of the compiler; only structures that recur across
-    generations — the durable workload — compile. Untiered caches
-    keep the compile-always contract. *)
+    generations — the durable workload — compile, and a frozen tiered
+    cache never compiles. Untiered caches keep the compile-always
+    contract. *)
 
 val cache_synopsis : cache -> Xtwig_synopsis.Graph_synopsis.t
 val freeze : cache -> unit
 val thaw : cache -> unit
 
-val plans_cached : cache -> key:string -> Sketch.t -> Embed.enode list -> t array
+(** The costliest mechanism a fill used for any of its plans, in
+    increasing order of cost. *)
+type tier =
+  | Hit  (** every plan served from the cache as-is *)
+  | Repatch  (** a stale entry's payload constants were rebuilt *)
+  | Adoption  (** a cached skeleton was adopted (payload-only rebuild) *)
+  | Compile  (** at least one plan ran the structure phase *)
+
+val plans_cached :
+  cache -> key:string -> Sketch.t -> Embed.enode list -> t array * tier
 (** Get-or-compile the plans of one query ([key] is its
-    {!Embed.cache_key}; [roots] its embeddings for [sketch]). *)
+    {!Embed.cache_key}; [roots] its embeddings for [sketch]), with the
+    tier the fill took. Never tiered: always returns plans. *)
 
 val estimate_cached :
   ?interp:(Embed.enode -> float) ->
@@ -147,4 +145,5 @@ val estimate_cached :
     skeleton is evaluated by [interp] (the caller's reference
     evaluator — bit-identical to a compiled plan by construction)
     instead of paying for a compile; only a structure seen again under
-    the same key compiles. Counted under [plan.interp_estimates]. *)
+    the same key in a later generation compiles. Counted under
+    [plan.interp_estimates]. *)

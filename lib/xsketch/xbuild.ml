@@ -131,14 +131,11 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
       let plans =
         if Plan.cache_synopsis !pcache == Sketch.synopsis !sketch then !pcache
         else begin
-          (* a structural step replaced the synopsis: the retiring
-             cache becomes the fallback, so queries whose partition is
-             structurally unchanged cross-repatch their old plans
-             instead of recompiling. The base pass below migrates the
-             live entries; [Plan.freeze] then drops the link. *)
-          pcache :=
-            Plan.create_cache ~fallback:!pcache ~tiered:true
-              (Sketch.synopsis !sketch);
+          (* a structural step replaced the synopsis: queries whose
+             partition is structurally unchanged adopt their old
+             skeletons from the process-global store instead of
+             recompiling *)
+          pcache := Plan.create_cache ~tiered:true (Sketch.synopsis !sketch);
           !pcache
         end
       in
@@ -187,16 +184,13 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
           in
           (* a candidate-local plan cache never sees a repeated query,
              but it carries the shared compile context, amortizing the
-             per-node analysis across this candidate's queries — and
-             the step's frozen shared cache as fallback, so a
+             per-node analysis across this candidate's queries. A
              structural candidate that leaves a query's partition
-             shape intact repatches that query's plans instead of
-             compiling them. Worker-local, so mutation is safe; the
-             fallback is frozen and only read. *)
+             shape intact adopts that query's skeletons; anything else
+             is a first sighting, which the tier interprets rather
+             than compiles. Worker-local, so mutation is safe. *)
           let cand_plans =
-            lazy
-              (Plan.create_cache ~fallback:plans ~tiered:true
-                 (Sketch.synopsis refined))
+            lazy (Plan.create_cache ~tiered:true (Sketch.synopsis refined))
           in
           let err =
             let terms = Array.make nq 0.0 in
@@ -267,7 +261,7 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
     end
   done;
   (* hand the warm (frozen, quiescent) plan cache to the caller: an
-     estimation session built on the result repatches the build's
-     plans instead of compiling its first batch cold *)
+     estimation session built on the result serves the build's plans
+     instead of compiling its first batch cold *)
   (match plan_cache_out with Some r -> r := Some !pcache | None -> ());
   !sketch

@@ -59,10 +59,11 @@ val build :
 
     [plan_cache_out], when given, receives the build's final shared
     {!Plan.cache} (frozen, quiescent): a session created on the
-    returned sketch can adopt it — or chain it as the [fallback] of a
-    fresh cache when the last applied step was structural — and
-    repatch the build's plans instead of compiling its first queries
-    cold. *)
+    returned sketch can adopt it when its synopsis is the returned
+    sketch's (the last applied step was not structural) and reuse the
+    build's plans instead of compiling its first queries cold. After a
+    structural last step the cache belongs to the previous synopsis;
+    a fresh cache still adopts the build's skeletons. *)
 
 val workload_error :
   Sketch.t -> truth:(Xtwig_path.Path_types.twig -> float) ->

@@ -300,7 +300,16 @@ let test_session_update_swaps_live () =
       let fragment = parse "<book><title>t4</title><year>2007</year></book>" in
       let delta = Xtwig.Insert { parent = Doc.root doc; fragment } in
       ok_exn (Xtwig.update_session session delta);
-      let after = (ok_exn (Xtwig.estimate session q)).Xtwig.Engine.estimate in
+      (* the first post-update sighting builds through the skeleton
+         store: the pre-update session compiled this query's
+         structure, so the fresh cache adopts it and compiles nothing *)
+      let compiles = Counters.get "plan.compiles" in
+      let p = ok_exn (Xtwig.explain session q) in
+      Alcotest.(check string) "post-update tier" "skeleton_adoption"
+        (Xtwig.Engine.tier_label p.Xtwig.Engine.pv_tier);
+      Alcotest.(check int) "post-update fill compiles nothing" compiles
+        (Counters.get "plan.compiles");
+      let after = p.Xtwig.Engine.pv_answer.Xtwig.Engine.estimate in
       (* bitwise equal to a fresh session over the same maintained sketch *)
       let sk' = ok_exn (Xtwig.update_sketch sk delta) in
       let fresh = ok_exn (Xtwig.open_sketch_session sk') in

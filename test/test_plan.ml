@@ -1,8 +1,9 @@
 (* Compiled-plan tests: [Estimator.estimate] (compile-then-run) must
-   be bit-identical to [Estimator.estimate_reference] (the recursive
+   be bit-identical to [Reference_eval.estimate] (the recursive
    evaluator) — across datasets, workloads and refinement budgets —
-   and the plan cache must stay correct through reuse, histogram-only
-   invalidation (the repatch path) and structural invalidation. *)
+   the plan cache must stay correct through reuse, histogram-only
+   invalidation (the repatch path) and structural invalidation, and
+   tiered caches must keep the tier contract. *)
 
 module G = Xtwig_synopsis.Graph_synopsis
 module Sketch = Xtwig_sketch.Sketch
@@ -56,7 +57,7 @@ let test_compiled_equals_reference () =
             (fun i q ->
               Alcotest.(check (float 0.0))
                 (Printf.sprintf "%s/%s: q%d" name sname i)
-                (Est.estimate_reference sk q)
+                (Reference_eval.estimate sk q)
                 (Est.estimate sk q))
             queries)
         sketches)
@@ -72,7 +73,7 @@ let test_plan_cache_hits () =
   Counters.reset_all ();
   List.iter
     (fun q ->
-      let plain = Est.estimate_reference sk q in
+      let plain = Reference_eval.estimate sk q in
       let cold = Est.estimate ~cache ~plans sk q in
       let warm = Est.estimate ~cache ~plans sk q in
       Alcotest.(check (float 0.0)) "cold cached estimate" plain cold;
@@ -86,7 +87,7 @@ let test_plan_cache_hits () =
   let q = List.hd queries in
   Alcotest.(check (float 0.0))
     "frozen plan cache still correct"
-    (Est.estimate_reference sk q)
+    (Reference_eval.estimate sk q)
     (Est.estimate ~cache ~plans sk q)
 
 (* One histogram-only op (same synopsis, same dimension structure) and
@@ -193,7 +194,7 @@ let test_plan_cache_invalidation () =
     (fun i q ->
       Alcotest.(check (float 0.0))
         (Printf.sprintf "after Edge_refine: q%d" i)
-        (Est.estimate_reference refined_sk q)
+        (Reference_eval.estimate refined_sk q)
         (Est.estimate ~cache ~plans refined_sk q))
     queries;
   Alcotest.(check bool)
@@ -215,15 +216,15 @@ let test_plan_cache_invalidation () =
     (Counters.get "plan.compiles");
   (* re-enumerating the same queries (a fresh embedding cache) replaces
      entries without any sketch drift: an eviction, not an
-     invalidation — and the structurally-identical enumeration is
-     repatched, not recompiled *)
+     invalidation — and the structurally-identical enumeration adopts
+     the cached skeletons instead of recompiling *)
   let cache2 = Embed.create_cache (Sketch.synopsis refined_sk) in
   Counters.reset_all ();
   List.iteri
     (fun i q ->
       Alcotest.(check (float 0.0))
         (Printf.sprintf "re-enumerated: q%d" i)
-        (Est.estimate_reference refined_sk q)
+        (Reference_eval.estimate refined_sk q)
         (Est.estimate ~cache:cache2 ~plans refined_sk q))
     queries;
   Alcotest.(check bool)
@@ -233,7 +234,7 @@ let test_plan_cache_invalidation () =
     "evictions are not invalidations" 0
     (Counters.get "plan.cache_invalidations");
   Alcotest.(check int)
-    "re-enumeration repatches under the structural remap" 0
+    "re-enumeration adopts skeletons" 0
     (Counters.get "plan.compiles");
   (* a structure-changing op must fall back to the full compiler and
      still agree with the reference *)
@@ -243,7 +244,7 @@ let test_plan_cache_invalidation () =
     (fun i q ->
       Alcotest.(check (float 0.0))
         (Printf.sprintf "after structural op: q%d" i)
-        (Est.estimate_reference structural q)
+        (Reference_eval.estimate structural q)
         (* [cache2] holds the enumeration the plan entries now carry,
            so a same-synopsis structural op exercises the genuine
            invalidation path rather than an eviction *)
@@ -300,7 +301,7 @@ let test_run_batch_zero_alloc () =
       off := !off + n;
       Alcotest.(check (float 0.0))
         (Printf.sprintf "batch sum equals reference: q%d" i)
-        (Est.estimate_reference sk q)
+        (Reference_eval.estimate sk q)
         !sum)
     queries
 
@@ -315,7 +316,7 @@ let test_plan_fill_faults_retry_differential () =
   let _, doc = List.hd (Lazy.force docs) in
   let sk = Sketch.default_of_doc doc in
   let queries = queries_of doc in
-  let expected = List.map (Est.estimate_reference sk) queries in
+  let expected = List.map (Reference_eval.estimate sk) queries in
   let cache = Embed.create_cache (Sketch.synopsis sk) in
   let plans = Plan.create_cache (Sketch.synopsis sk) in
   let rec with_retry k f =
@@ -358,9 +359,105 @@ let test_plan_fill_faults_retry_differential () =
       in
       Alcotest.(check (float 0.0))
         (Printf.sprintf "repatch under faults: q%d" i)
-        (Est.estimate_reference refined_sk q)
+        (Reference_eval.estimate refined_sk q)
         got)
     queries
+
+(* A synopsis-replacing refinement touching a node some query visits:
+   the shape of XBUILD's split candidates. *)
+let split_op sk queries =
+  let syn = Sketch.synopsis sk in
+  let try_op op =
+    let applied = Refinement.apply sk op in
+    if Sketch.synopsis applied != syn then Some applied else None
+  in
+  let splits n =
+    List.filter_map
+      (fun (e : G.edge) ->
+        if e.G.f_stable then None
+        else Some (Refinement.F_stabilize { src = n; dst = e.G.dst }))
+      (G.out_edges syn n)
+    @ List.filter_map
+        (fun (e : G.edge) ->
+          if e.G.b_stable then None
+          else Some (Refinement.B_stabilize { src = e.G.src; dst = n }))
+        (G.in_edges syn n)
+  in
+  match
+    List.find_map
+      (fun n -> List.find_map try_op (splits n))
+      (tree_nodes syn queries)
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "no synopsis-replacing refinement found"
+
+(* 6. The tier contract of a [~tiered:true] cache (XBUILD's): a cold
+   key's first sighting is interpreted, re-sightings in the same
+   generation stay interpreted, a frozen cache never compiles, a key
+   seen again in a later generation compiles, and a fresh tiered
+   cache on a split candidate's synopsis compiles nothing in its
+   first generation. Every answer is bit-equal to the reference. The
+   skeleton store is process-global, so a first sighting may also
+   adopt a skeleton compiled elsewhere — that is not a compile
+   either. XMark is used by no other case here, so most of its
+   structures are novel. *)
+let test_tier_contract () =
+  let doc = Xtwig_datagen.Xmark.generate ~scale:0.03 () in
+  let sk = Sketch.default_of_doc doc in
+  let syn = Sketch.synopsis sk in
+  let queries = queries_of doc in
+  let cache = Embed.create_cache syn in
+  let plans = Plan.create_cache ~tiered:true syn in
+  let pass label sk cache plans =
+    let before = Counters.get "plan.compiles" in
+    List.iteri
+      (fun i q ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s: q%d" label i)
+          (Reference_eval.estimate sk q)
+          (Est.estimate ~cache ~plans sk q))
+      queries;
+    Counters.get "plan.compiles" - before
+  in
+  let interp () = Counters.get "plan.interp_estimates" in
+  (* generation 2, thawed: first sightings, then re-sightings *)
+  Plan.thaw plans;
+  let i0 = interp () in
+  Alcotest.(check int) "first sightings compile nothing" 0
+    (pass "first sighting" sk cache plans);
+  Alcotest.(check bool) "first sightings are interpreted" true (interp () > i0);
+  let i1 = interp () in
+  Alcotest.(check int) "same-generation re-sightings compile nothing" 0
+    (pass "same generation" sk cache plans);
+  Alcotest.(check bool) "re-sightings are interpreted" true (interp () > i1);
+  (* frozen two generations later: the keys are overdue, but a frozen
+     cache declines to the interpreter *)
+  for _ = 1 to 2 do
+    Plan.freeze plans;
+    Plan.thaw plans
+  done;
+  Plan.freeze plans;
+  Alcotest.(check int) "a frozen cache never compiles" 0
+    (pass "frozen" sk cache plans);
+  (* thawed in a later generation: the recurring keys compile, and are
+     then served from the cache *)
+  Plan.thaw plans;
+  Alcotest.(check bool) "a key seen in a later generation compiles" true
+    (pass "later generation" sk cache plans > 0);
+  let i2 = interp () in
+  Alcotest.(check int) "compiled keys are cached" 0
+    (pass "cached" sk cache plans);
+  Alcotest.(check int) "cached keys are not interpreted" i2 (interp ());
+  Plan.freeze plans;
+  (* a split candidate: fresh caches on the new synopsis, used in their
+     first generation the way XBUILD scores a candidate *)
+  let split = split_op sk queries in
+  let cache' = Embed.create_cache (Sketch.synopsis split) in
+  let plans' = Plan.create_cache ~tiered:true (Sketch.synopsis split) in
+  Alcotest.(check int) "split candidate compiles nothing" 0
+    (pass "split candidate" split cache' plans');
+  Alcotest.(check int) "split candidate re-sighting compiles nothing" 0
+    (pass "split candidate again" split cache' plans')
 
 let () =
   Alcotest.run "plan"
@@ -378,5 +475,7 @@ let () =
             test_run_batch_zero_alloc;
           Alcotest.test_case "fill faults + retry: differential vs reference"
             `Quick test_plan_fill_faults_retry_differential;
+          Alcotest.test_case "tier contract: interpret cold, compile recurring"
+            `Quick test_tier_contract;
         ] );
     ]

@@ -61,20 +61,20 @@ let prop_refinement_classes =
                     (fun q ->
                       Float.equal
                         (Est.estimate ~cache ~plans refined q)
-                        (Est.estimate_reference refined q))
+                        (Reference_eval.estimate refined q))
                     queries
                 else begin
-                  (* synopsis-replacing ops get fresh caches chained to
-                     the warmed one, like XBUILD's split candidates *)
+                  (* synopsis-replacing ops get fresh caches, like
+                     XBUILD's split candidates; the skeletons compiled
+                     for the warmed cache are adopted where the
+                     partition shape is unchanged *)
                   let c2 = Embed.create_cache (Sketch.synopsis refined) in
-                  let p2 =
-                    Plan.create_cache ~fallback:plans (Sketch.synopsis refined)
-                  in
+                  let p2 = Plan.create_cache (Sketch.synopsis refined) in
                   List.for_all
                     (fun q ->
                       Float.equal
                         (Est.estimate ~cache:c2 ~plans:p2 refined q)
-                        (Est.estimate_reference refined q))
+                        (Reference_eval.estimate refined q))
                     queries
                 end
               in
