@@ -29,17 +29,34 @@ let size_bytes (Instance ((module M), v)) = M.size_bytes v
 
 (* ------------------------------------------------------------------ *)
 (* XSKETCH: the paper's estimator, behind the generic surface. The
-   engine's compiled fast path (Engine.of_sketch) bypasses this module
-   on purpose; this is the uncompiled reference evaluator, for callers
-   that want XSKETCH through the same door every other backend uses. *)
+   engine's compiled fast path (Engine.of_sketch) evaluates plans
+   itself and comes here only for the coarse floor; [estimate] is the
+   uncompiled reference evaluator, for callers that want XSKETCH
+   through the same door every other backend uses. *)
 
 module Xsketch = struct
-  type t = { sk : Sketch.t; coarse_sk : Sketch.t Lazy.t }
+  (* [floor] is the coarse label-split sketch of [sk]'s document, built
+     by the first [coarse] call and shared by every later one. Degraded
+     answers call [coarse] from pool workers, several at once: the lock
+     makes the O(document) build happen exactly once (a compare-and-set
+     would let racing domains each build one), and the atomic publishes
+     the result so later calls skip the lock. Wrapping builds nothing. *)
+  type t = { sk : Sketch.t; lock : Mutex.t; floor : Sketch.t option Atomic.t }
 
   let name = "xsketch"
+  let wrap sk = { sk; lock = Mutex.create (); floor = Atomic.make None }
 
-  let wrap sk =
-    { sk; coarse_sk = lazy (Sketch.default_of_doc (Sketch.doc sk)) }
+  let floor t =
+    match Atomic.get t.floor with
+    | Some f -> f
+    | None ->
+        Mutex.protect t.lock (fun () ->
+            match Atomic.get t.floor with
+            | Some f -> f
+            | None ->
+                let f = Sketch.default_of_doc (Sketch.doc t.sk) in
+                Atomic.set t.floor (Some f);
+                f)
 
   let build ?(budget = 8192) ?(seed = 42) doc =
     if budget <= 0 then Error (Xerror.Usage "budget must be positive")
@@ -64,7 +81,7 @@ module Xsketch = struct
 
   let load doc path = Result.map (fun (_, sk) -> wrap sk) (Sketch_io.read_res doc path)
   let estimate t q = Est.estimate t.sk q
-  let coarse t q = Est.estimate (Lazy.force t.coarse_sk) q
+  let coarse t q = Est.estimate (floor t) q
   let size_bytes t = Sketch.size_bytes t.sk
 end
 

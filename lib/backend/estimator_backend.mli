@@ -58,8 +58,10 @@ val size_bytes : instance -> int
 
 module Xsketch : S
 (** The paper's estimator: XBUILD construction, TREEPARSE estimation,
-    [Sketch_io] persistence. [coarse] is the label-split estimate
-    (built lazily, once). *)
+    [Sketch_io] persistence. [coarse] is the label-split estimate;
+    its sketch is built by the first [coarse] call on an instance,
+    exactly once even when several domains call it at the same
+    time. *)
 
 module Cst : S
 (** The correlated-suffix-tree baseline. No persistent format;
@@ -91,4 +93,5 @@ val load :
 
 val of_sketch : Xtwig_sketch.Sketch.t -> instance
 (** Wrap an already-built XSKETCH (e.g. one loaded through
-    [Sketch_io]) as an {!Xsketch} instance. *)
+    [Sketch_io]) as an {!Xsketch} instance. Builds nothing: the coarse
+    floor waits for the first [coarse] call. *)

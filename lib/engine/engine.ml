@@ -1,7 +1,5 @@
-module Doc = Xtwig_xml.Doc
 module Sketch = Xtwig_sketch.Sketch
 module Embed = Xtwig_sketch.Embed
-module Est = Xtwig_sketch.Estimator
 module Plan = Xtwig_sketch.Plan
 module Xbuild = Xtwig_sketch.Xbuild
 module Wgen = Xtwig_workload.Wgen
@@ -70,17 +68,29 @@ type stats = {
 type breaker = Closed | Open_until of float | Half_open
 
 (* What actually answers a query: either the compiled XSKETCH fast
-   path (embedding cache + plan cache + coarse label-split fallback)
-   or an opaque estimator behind the Estimator_backend signature. The
-   hardening fabric (retry, breaker, timeout, guards) is shared. *)
+   path (embedding cache + plan cache) or an opaque estimator behind
+   the Estimator_backend signature. Both degrade through their backend
+   instance's [coarse] floor; the hardening fabric (retry, breaker,
+   timeout, guards) is shared. *)
 type core =
   | Sk of {
       sk : Sketch.t;
-      coarse : Sketch.t;  (* label-split fallback, shares the document *)
+      inst : Backend.instance;
+          (* the xsketch instance over [sk]: its coarse floor is built
+             on the generation's first degraded answer, never before *)
       cache : Embed.cache;  (* session-lived, keyed to sk's synopsis *)
       pcache : Plan.cache;  (* compiled plans, same lifecycle as [cache] *)
     }
   | Bk of Backend.instance
+
+let instance = function Sk { inst; _ } | Bk inst -> inst
+
+let sk_core ?pcache sk =
+  let syn = Sketch.synopsis sk in
+  let pcache =
+    match pcache with Some pc -> pc | None -> Plan.create_cache syn
+  in
+  Sk { sk; inst = Backend.of_sketch sk; cache = Embed.create_cache syn; pcache }
 
 type t = {
   mutable core : core;
@@ -179,18 +189,9 @@ let of_sketch ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
     =
   Result.map
     (fun () ->
-      let core =
-        Sk
-          {
-            sk;
-            coarse = Sketch.default_of_doc (Sketch.doc sk);
-            cache = Embed.create_cache (Sketch.synopsis sk);
-            pcache = Plan.create_cache (Sketch.synopsis sk);
-          }
-      in
-      mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s:0.0 ~retries
-        ~backoff_s ~breaker_threshold ~breaker_cooldown_s ~max_embeddings
-        ~max_embed_nodes ())
+      mk ?name ~core:(sk_core sk) ~jobs ~timeout_s ~on_embedding ~build_s:0.0
+        ~retries ~backoff_s ~breaker_threshold ~breaker_cooldown_s
+        ~max_embeddings ~max_embed_nodes ())
     (check_session_args ~jobs ~retries)
 
 let of_backend ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
@@ -238,22 +239,13 @@ let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
        build's skeletons from the process-global store *)
     let pcache =
       match !built_plans with
-      | Some pc when Plan.cache_synopsis pc == Sketch.synopsis sk -> pc
-      | _ -> Plan.create_cache (Sketch.synopsis sk)
-    in
-    let core =
-      Sk
-        {
-          sk;
-          coarse = Sketch.default_of_doc doc;
-          cache = Embed.create_cache (Sketch.synopsis sk);
-          pcache;
-        }
+      | Some pc when Plan.cache_synopsis pc == Sketch.synopsis sk -> Some pc
+      | _ -> None
     in
     Ok
-      (mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s ~retries
-         ~backoff_s ~breaker_threshold ~breaker_cooldown_s ~max_embeddings
-         ~max_embed_nodes ~pool ())
+      (mk ?name ~core:(sk_core ?pcache sk) ~jobs ~timeout_s ~on_embedding
+         ~build_s ~retries ~backoff_s ~breaker_threshold ~breaker_cooldown_s
+         ~max_embeddings ~max_embed_nodes ~pool ())
   end
 
 (* Capped exponential backoff between retry attempts: base * 2^k,
@@ -267,9 +259,7 @@ let backoff t k =
    (for XSKETCH it is pure arithmetic, so only a fault-injection hook
    or a genuine bug could make it raise) the engine still answers. *)
 let coarse_estimate t q =
-  match t.core with
-  | Sk { coarse; _ } -> ( try Est.estimate coarse q with _ -> 0.0)
-  | Bk inst -> ( try Backend.coarse inst q with _ -> 0.0)
+  try Backend.coarse (instance t.core) q with _ -> 0.0
 
 let degrade_answer t ~trace_id ~t0 ~reason ~retries q =
   Metrics.incr (t.fb_counter reason);
@@ -650,10 +640,12 @@ let explain ?timeout_s ?trace_id t q =
         | Error _, Sk _ -> (Cache_hit, 0)
         | Error _, Bk _ -> (Backend_opaque, 0)
       in
-      let backend =
-        match t.core with Sk _ -> "xsketch" | Bk inst -> Backend.name_of inst
-      in
-      { pv_answer = a; pv_backend = backend; pv_tier = tier; pv_embeddings = embeddings }
+      {
+        pv_answer = a;
+        pv_backend = Backend.name_of (instance t.core);
+        pv_tier = tier;
+        pv_embeddings = embeddings;
+      }
     with
     | p -> Ok p
     | exception e ->
@@ -671,7 +663,8 @@ let explain ?timeout_s ?trace_id t q =
    see the core their batch captured. Both caches are keyed to the
    synopsis and start fresh; the first batch after an update adopts
    matching skeletons from the process-global store instead of
-   compiling from nothing. *)
+   compiling from nothing. The new generation's coarse floor is not
+   built here: its first degraded answer builds it. *)
 let update t delta =
   if t.closed then Error (Xerror.Engine "session is closed")
   else
@@ -685,15 +678,7 @@ let update t delta =
     | Sk { sk; _ } -> (
         match Sketch.apply_delta sk delta with
         | sk' ->
-            let syn' = Sketch.synopsis sk' in
-            t.core <-
-              Sk
-                {
-                  sk = sk';
-                  coarse = Sketch.default_of_doc (Sketch.doc sk');
-                  cache = Embed.create_cache syn';
-                  pcache = Plan.create_cache syn';
-                };
+            t.core <- sk_core sk';
             Ok ()
         | exception Invalid_argument msg -> Error (Xerror.Usage msg)
         | exception Fault.Injected _ ->
@@ -708,8 +693,7 @@ let sketch t =
         (Printf.sprintf "Engine.sketch: %s-backend session has no sketch"
            (Backend.name_of inst))
 
-let backend_name t =
-  match t.core with Sk _ -> "xsketch" | Bk inst -> Backend.name_of inst
+let backend_name t = Backend.name_of (instance t.core)
 
 let name t = t.name
 
@@ -724,10 +708,7 @@ let stats t =
     name = Option.value t.name ~default:"";
     backend = backend_name t;
     jobs = t.n_jobs;
-    sketch_bytes =
-      (match t.core with
-      | Sk { sk; _ } -> Sketch.size_bytes sk
-      | Bk inst -> Backend.size_bytes inst);
+    sketch_bytes = Backend.size_bytes (instance t.core);
     queries_served = t.queries_served;
     batches = t.batches;
     timeouts = t.timeouts;

@@ -5,9 +5,9 @@
     system treats it as a session: build (or load) a synopsis once,
     then answer batches of twig queries against it for the lifetime of
     the process. [Engine.t] packages exactly that — the built sketch,
-    a coarse fallback sketch, a long-lived embedding cache, and an
-    optional {!Xtwig_util.Pool} of worker domains that evaluates the
-    queries of a batch concurrently.
+    a long-lived embedding cache, and an optional {!Xtwig_util.Pool}
+    of worker domains that evaluates the queries of a batch
+    concurrently.
 
     {2 Concurrency model}
 
@@ -26,9 +26,13 @@
     — compile time spends the same budget evaluation does — and the
     evaluation checks it between embedding contributions (cooperative
     — a single embedding's traversal is never interrupted). On expiry
-    the engine degrades to the {e coarse label-split estimate}: cheap,
-    always available, and the starting point of XBUILD — the
-    same-shaped answer at the accuracy floor rather than no answer.
+    the engine degrades to the {e coarse label-split estimate}: the
+    starting point of XBUILD — the same-shaped answer at the accuracy
+    floor rather than no answer. The label-split sketch behind it is
+    built on demand: opening, reloading or updating a session builds
+    none, and the first degraded answer of each document generation
+    builds it (an O(document) cost, paid once per generation even when
+    several workers degrade at the same time).
 
     {2 Hardening}
 
@@ -243,11 +247,12 @@ val update :
 (** Apply a subtree insert/delete to the session's document and swap
     in the incrementally maintained sketch
     ({!Xtwig_sketch.Sketch.apply_delta}): summaries untouched by the
-    edit are reused in place, the coarse fallback is rebuilt over the
-    new document, and the embedding and plan caches start fresh (both
-    are keyed to the synopsis). The next batch adopts matching
-    skeletons from the process-global skeleton store instead of
-    compiling cold.
+    edit are reused in place, and the embedding and plan caches start
+    fresh (both are keyed to the synopsis). The next batch adopts
+    matching skeletons from the process-global skeleton store instead
+    of compiling cold. No coarse floor is built here: the first
+    degraded answer after the update builds it over the new
+    document.
 
     Owner-domain only, between batches — the same single-writer
     discipline as {!stats} and {!close}; a batch in flight keeps the

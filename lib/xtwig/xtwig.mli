@@ -130,10 +130,11 @@ val update_sketch : ?reuse:bool -> sketch -> delta -> (sketch, Xerror.t) result
 
 val update_session : Engine.t -> delta -> (unit, Xerror.t) result
 (** {!update_sketch} inside a live session: swaps the maintained
-    sketch in, rebuilds the coarse fallback, starts a fresh embedding
-    cache and chains the plan cache so the next batch repatches
-    instead of compiling cold. Owner-domain only, between batches —
-    see {!Engine.update}. *)
+    sketch in and starts fresh embedding and plan caches; the next
+    batch adopts matching skeletons from the process-global store
+    instead of compiling cold, and the first degraded answer builds
+    the new document's coarse floor. Owner-domain only, between
+    batches — see {!Engine.update}. *)
 
 val save_sketch :
   ?budget:int -> ?seed:int -> sketch -> string -> (unit, Xerror.t) result

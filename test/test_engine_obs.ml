@@ -1,7 +1,9 @@
 (* Engine observability: a query whose deadline expires must degrade
    to the coarse label-split estimate, flag the answer, bump the
    engine.timeouts metric, and carry a trace id that correlates the
-   answer with its spans in a trace dump. *)
+   answer with its spans in a trace dump. The coarse floor itself is
+   built on demand, once per document generation, and the sketch.builds
+   counter shows it. *)
 
 module Metrics = Xtwig_obs.Metrics
 module Trace = Xtwig_obs.Trace
@@ -12,6 +14,8 @@ module Est = Xtwig_sketch.Estimator
 module Xbuild = Xtwig_sketch.Xbuild
 module Wgen = Xtwig_workload.Wgen
 module Engine = Xtwig_engine.Engine
+module Counters = Xtwig_util.Counters
+module Doc = Xtwig_xml.Doc
 
 let imdb = lazy (Xtwig_datagen.Imdb.generate ~seed:7 ~scale:0.02 ())
 
@@ -150,6 +154,54 @@ let test_batch_trace_ids_and_spans () =
   Alcotest.(check bool) "batch span present" true
     (contains "engine.estimate_batch" js)
 
+(* A deadline already in the past degrades every answer to the floor.
+   Opening the session and updating its document build no floor; the
+   first degraded batch of a generation builds it exactly once (two
+   workers degrade at the same time), later batches reuse it, and the
+   answers are the coarse estimate of the updated document. *)
+let test_floor_follows_generation () =
+  let doc = Lazy.force imdb in
+  let sk = build_small doc in
+  let q =
+    get (Xtwig_path.Path_parser.parse_twig_res "for t0 in //movie, t1 in t0/actor")
+  in
+  let qs =
+    q :: Wgen.generate { Wgen.paper_p with Wgen.n_queries = 15 } (Prng.create 99) doc
+  in
+  let builds () = Counters.get "sketch.builds" in
+  let b = builds () in
+  let eng = get (Engine.of_sketch ~jobs:2 ~timeout_s:(-1.0) sk) in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  Alcotest.(check int) "opening builds no floor" b (builds ());
+  let fragment =
+    get
+      (Xtwig_xml.Xml_parser.parse_string_res
+         "<movie><title>t</title><actor>a</actor><actor>b</actor></movie>")
+  in
+  get (Engine.update eng (Sketch.Insert { parent = Doc.root doc; fragment }));
+  Alcotest.(check int) "update builds the maintained sketch only" (b + 1)
+    (builds ());
+  let batch () = get (Engine.estimate_batch eng qs) in
+  let first = batch () in
+  Alcotest.(check int) "first degraded batch builds the floor once" (b + 2)
+    (builds ());
+  let later = batch () in
+  Alcotest.(check int) "a later batch reuses it" (b + 2) (builds ());
+  let coarse_new = Sketch.default_of_doc (Sketch.doc (Engine.sketch eng)) in
+  let coarse_old = Sketch.default_of_doc doc in
+  Alcotest.(check bool) "the update moves the coarse estimate" true
+    (Est.estimate coarse_new q <> Est.estimate coarse_old q);
+  List.iter
+    (fun answers ->
+      List.iter2
+        (fun q (a : Engine.answer) ->
+          Alcotest.(check bool) "degraded" true (a.Engine.reason = Some Engine.Timeout);
+          Alcotest.(check int64) "coarse estimate of the updated document"
+            (Int64.bits_of_float (Est.estimate coarse_new q))
+            (Int64.bits_of_float a.Engine.estimate))
+        qs answers)
+    [ first; later ]
+
 let () =
   Alcotest.run "engine_obs"
     [
@@ -161,5 +213,7 @@ let () =
             test_no_timeout_no_bump;
           Alcotest.test_case "batch trace ids and spans" `Quick
             test_batch_trace_ids_and_spans;
+          Alcotest.test_case "coarse floor: on demand, once per generation"
+            `Quick test_floor_follows_generation;
         ] );
     ]

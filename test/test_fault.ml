@@ -264,6 +264,45 @@ let test_retries_exhausted_degrade =
         a.Engine.estimate)
     qs answers
 
+(* Degraded answers run the backend's coarse floor on pool workers,
+   several at once, and an xsketch instance builds that floor on the
+   first call. A deadline already in the past degrades every answer,
+   so each fresh instance sees its first floor calls race: every answer
+   must still be the coarse label-split estimate, bit for bit — a
+   floor call that loses the race must wait for the build, not answer
+   0.0. *)
+let test_concurrent_floor_first_use () =
+  let qs = queries 24 in
+  let coarse = Sketch.default_of_doc (Lazy.force imdb) in
+  let expect =
+    List.map
+      (fun q -> Int64.bits_of_float (Xtwig_sketch.Estimator.estimate coarse q))
+      qs
+  in
+  for round = 1 to 6 do
+    let session =
+      get
+        (Xtwig.open_backend_session ~jobs:2 ~timeout_s:(-1.0)
+           (Xtwig_backend.Estimator_backend.of_sketch (Lazy.force sk)))
+    in
+    let answers =
+      Fun.protect
+        ~finally:(fun () -> Xtwig.close_session session)
+        (fun () -> get (Xtwig.estimate_batch session qs))
+    in
+    List.iteri
+      (fun i ((a : Engine.answer), e) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d q%d degraded" round i)
+          true
+          (a.Engine.reason = Some Engine.Timeout);
+        Alcotest.(check int64)
+          (Printf.sprintf "round %d q%d is the coarse estimate" round i)
+          e
+          (Int64.bits_of_float a.Engine.estimate))
+      (List.combine answers expect)
+  done
+
 let test_breaker_trips_and_recovers =
   protecting @@ fun () ->
   warm ();
@@ -498,6 +537,8 @@ let () =
           Alcotest.test_case "retry then success" `Quick test_retry_then_success;
           Alcotest.test_case "retries exhausted -> coarse fallback" `Quick
             test_retries_exhausted_degrade;
+          Alcotest.test_case "concurrent first use of the coarse floor" `Quick
+            test_concurrent_floor_first_use;
           Alcotest.test_case "breaker trips, half-opens, recovers" `Quick
             test_breaker_trips_and_recovers;
           Alcotest.test_case "cardinality guard degrades" `Quick
